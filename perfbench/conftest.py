@@ -1,0 +1,10 @@
+"""Make ``repro`` (under ``src/``) and the ``perfbench`` package importable
+when the self-tests run with ``python -m pytest perfbench``."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+for path in (str(ROOT), str(ROOT / "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
