@@ -83,11 +83,9 @@ class Core:
         self.obs = None
         #: optional StageHistograms (repro.obs.hist) — exact latency counts
         self.hist = None
-        #: (start_ns, end_ns) of the work item currently completing; only
-        #: maintained while obs is attached (read by the journey tracker)
-        self.last_span = None
-        #: scalar twins of last_span, maintained while hist is attached
-        #: (read by the pipeline's record path; scalars, so the per-item
+        #: execution window of the work item currently completing; only
+        #: maintained while hist or obs is attached (read by the pipeline's
+        #: histogram and journey paths; scalars, so the per-item
         #: bookkeeping allocates nothing)
         self.span_start = 0.0
         self.span_end = 0.0
@@ -175,12 +173,12 @@ class Core:
                 # with queue delay and flow class attached
                 hist.record_core(tag, self.id, duration)
             if self.obs is not None:
-                self.last_span = (start, now)
                 self.obs.span(tag, start, now, core=self.id)
         elif self.obs is not None:
             now = self.sim._now
             start = now - duration
-            self.last_span = (start, now)
+            self.span_start = start
+            self.span_end = now
             self.obs.span(tag, start, now, core=self.id)
         fn = item.fn
         args = item.args

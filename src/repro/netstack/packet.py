@@ -137,7 +137,7 @@ class Skb:
         #: stage-histogram queue delay is (execution start - q_ts)
         self.q_ts: float = 0.0
         # observability identity: assigned monotonically on first touch by
-        # PathTracer / JourneyTracker (never id(skb) — ids are reused)
+        # the JourneyTracker (never id(skb) — ids are reused)
         self.trace_id: Optional[int] = None
         #: recycle generation; bumped every time the pool reclaims this skb
         self.gen: int = 0

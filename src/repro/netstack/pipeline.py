@@ -17,10 +17,10 @@ the :class:`~repro.netstack.stages.StageContext` handed to stages is a
 single reused instance (stages must read, not retain, it — every
 in-tree stage extracts what it needs); and datapath skbs come from a
 free list with poisoned recycling (:meth:`alloc_skb` /
-:meth:`recycle_skb`).  Interposing on :meth:`inject` (as
-:class:`~repro.sim.trace.PathTracer` does) still sees every hop: the
-forwarding loop detects an instance-attribute override and falls back to
-routing through it.
+:meth:`recycle_skb`).  Only the first hop enters through :meth:`inject`
+/ :meth:`inject_batch`; later hops go from :meth:`_run_stage` straight
+to :meth:`_dispatch`, so per-hop instrumentation belongs in those two
+(the journey tracker and the stage histograms hook in there).
 """
 
 from __future__ import annotations
@@ -161,11 +161,6 @@ class Pipeline:
         """
         if node is None:
             return
-        if "inject" in self.__dict__:
-            # an interposer (PathTracer) replaced inject: route through it
-            for pkt in packets:
-                self.inject(node, self.alloc_skb(pkt), from_core)
-            return
         stage = node.stage
         name = stage.name
         core_for = self.policy.core_for
@@ -232,8 +227,8 @@ class Pipeline:
                 core.span_start - skb.q_ts, core.span_end - core.span_start,
             )
         journeys = self.journeys
-        if journeys is not None and core.last_span is not None:
-            journeys.on_execute(skb, node.stage.name, *core.last_span)
+        if journeys is not None:
+            journeys.on_execute(skb, node.stage.name, core.span_start, core.span_end)
         ctx = self._ctx
         ctx.node = node
         ctx.core = core
@@ -241,20 +236,6 @@ class Pipeline:
         if not outputs or node.next is None:
             return
         nxt = node.next
-        if "inject" in self.__dict__:
-            # interposed inject (PathTracer): preserve the original
-            # two-pass routing so the tracer observes every hop
-            inject = self.inject
-            same = []
-            for out in outputs:
-                target = self.policy.core_for(nxt.stage.name, out, core)
-                if target.id == core.id:
-                    same.append(out)
-                else:
-                    inject(nxt, out, core)
-            for out in reversed(same):
-                inject(nxt, out, core, front=True)
-            return
         nstage = nxt.stage
         nname = nstage.name
         core_for = self.policy.core_for

@@ -27,7 +27,9 @@ latency *exactly* — the property the acceptance test pins to within 1%.
 
 Journeys are keyed by a monotonically assigned ``skb.trace_id`` (never
 ``id(skb)`` — CPython reuses object ids after GC, which silently merges
-distinct journeys; see the matching fix in :mod:`repro.sim.trace`).
+distinct journeys).  ``repro trace --decompose`` prints the per-hop
+queueing/service/hold table; it is the tool for "where does the time
+go?" questions about one run.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class JourneyTracker:
 
     ``max_journeys`` bounds memory; tracking starts at ``start_ns`` (set
     it to the warmup horizon to sample steady state only).  Trace ids
-    are assigned monotonically; ids assigned elsewhere (PathTracer) are
-    adopted and skipped over, so two trackers never collide on a key.
+    are assigned monotonically; the tracker is their only source.
     """
 
     def __init__(self, max_journeys: int = 4000, start_ns: float = 0.0):
@@ -86,13 +87,6 @@ class JourneyTracker:
             self.journeys[tid] = []
             # DMA arrival of the oldest wire frame wrapped by this skb
             self.arrival_ns[tid] = min(p.arrival_ts for p in skb.packets)
-        else:
-            if tid not in self.journeys:
-                # id assigned by another tracker: adopt it and never reuse it
-                if tid >= self._next_id:
-                    self._next_id = tid + 1
-                self.journeys[tid] = []
-                self.arrival_ns[tid] = min(p.arrival_ts for p in skb.packets)
         self.journeys[tid].append(Hop(stage_name, core_id, now))
 
     def on_execute(self, skb, stage_name: str, start_ns: float, end_ns: float) -> None:

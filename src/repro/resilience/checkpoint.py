@@ -22,8 +22,10 @@ corrupt file is silently discarded and the run restarts from scratch,
 which is always correct.
 
 The attach idiom mirrors faults/obs/selfprof: ``sim.checkpointer`` is
-``None`` by default and the uncheckpointed run loop is untouched, so the
-disabled path is bit-identical by construction.
+``None`` by default and :meth:`Simulator.run` then takes its unhooked
+loop, so the disabled path is bit-identical by construction.  Attached,
+the :class:`Checkpointer` is the engine's run-loop hook, like the
+self-profiler: ``begin``/``fire``/``end`` bracket and fire each event.
 """
 
 from __future__ import annotations
@@ -166,7 +168,7 @@ def load_checkpoint(path: Union[str, Path]) -> Tuple[Dict[str, Any], Any]:
 
 # ----------------------------------------------------------------- checkpointer
 class Checkpointer:
-    """Periodic snapshot hook driven by the simulator's checkpointed loop.
+    """Periodic snapshot hook driven by the simulator's hooked run loop.
 
     Snapshots fire between events whenever ``every_sim_ns`` of simulated
     time or ``every_wall_s`` of wall-clock time has elapsed since the
@@ -209,6 +211,16 @@ class Checkpointer:
             self._next_sim_ns = sim.now + self.every_sim_ns
         if self.every_wall_s is not None:
             self._next_wall = time.monotonic() + self.every_wall_s
+
+    def fire(self, sim: Any, entry: tuple) -> None:
+        """Fire one event, then snapshot if a deadline has passed (between
+        events, never mid-callback, so every snapshot is consistent)."""
+        sim._fire(entry)
+        if self.due(sim.now):
+            self.save(sim)
+
+    def end(self, sim: Any) -> None:
+        pass
 
     def due(self, now_ns: float) -> bool:
         if self._next_sim_ns is not None and now_ns >= self._next_sim_ns:

@@ -141,12 +141,11 @@ class Simulator:
         #: free list of recycled internal events (see _sched)
         self._pool: List[_Event] = []
         self.events_executed: int = 0
-        #: optional :class:`repro.perf.selfprof.SelfProfiler`; when None
-        #: (the default) the engine runs its original uninstrumented loop
+        #: optional :class:`repro.perf.selfprof.SelfProfiler` and
+        #: :class:`repro.resilience.checkpoint.Checkpointer` (at most one
+        #: is attached); when both are None (the default) :meth:`run`
+        #: takes its uninstrumented loop, bit-identical by construction
         self.profiler: Optional[Any] = None
-        #: optional :class:`repro.resilience.checkpoint.Checkpointer`;
-        #: when None (the default) the original loop runs untouched, so
-        #: the checkpoint-off path is bit-identical by construction
         self.checkpointer: Optional[Any] = None
 
     # ------------------------------------------------------------ persistence
@@ -167,9 +166,9 @@ class Simulator:
         """Attach (or with ``None`` detach) a periodic checkpointer.
 
         ``sim_ns`` / ``wall_s`` override the checkpointer's own snapshot
-        intervals when given.  Checkpointing and self-profiling both
-        replace the run loop with an instrumented twin, so they are
-        mutually exclusive.
+        intervals when given.  The checkpointer and the self-profiler
+        are both run-loop hooks and the hooked loop drives only one, so
+        they are mutually exclusive.
         """
         if checkpointer is not None and self.profiler is not None:
             raise SimulationError(
@@ -428,11 +427,9 @@ class Simulator:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         try:
-            if self.profiler is not None:
-                self._run_profiled(until_ns, self.profiler)
-                return
-            if self.checkpointer is not None:
-                self._run_checkpointed(until_ns, self.checkpointer)
+            hook = self.profiler if self.profiler is not None else self.checkpointer
+            if hook is not None:
+                self._run_hooked(until_ns, hook)
                 return
             until = float("inf") if until_ns is None else until_ns
             pop = heappop
@@ -475,9 +472,9 @@ class Simulator:
             self._running = False
 
     def _fire(self, entry: tuple) -> None:
-        """Shared fire path of the instrumented twins: mark/recycle the
-        event and invoke its callback.  Semantically identical to the
-        inlined body in :meth:`run`."""
+        """Shared fire path of the hooked loop and :meth:`step`: mark or
+        recycle the event and invoke its callback.  Semantically
+        identical to the inlined body in :meth:`run`."""
         ev = entry[2]
         self._now = entry[0]
         self.events_executed += 1
@@ -493,68 +490,43 @@ class Simulator:
             ev.state = _FIRED
         fn(*args)
 
-    def _run_profiled(self, until_ns: Optional[float], prof: Any) -> None:
-        """The run loop's instrumented twin: identical event semantics,
-        plus wall-clock attribution of every callback to its owner.
+    def _run_hooked(self, until_ns: Optional[float], hook: Any) -> None:
+        """The run loop with a hook attached: identical event semantics,
+        but every live event is fired through ``hook.fire(sim, entry)``,
+        bracketed by ``hook.begin(sim)`` and ``hook.end(sim)``.
 
-        Profiling reads :func:`time.perf_counter` but never feeds it back
-        into the simulation, so simulated measurements are bit-identical
-        with or without a profiler attached.
+        The hook is the :class:`~repro.perf.selfprof.SelfProfiler`
+        (wall-clock attribution per callback) or the
+        :class:`~repro.resilience.checkpoint.Checkpointer` (snapshots
+        between events).  Both only read state, so simulated results are
+        bit-identical with or without one.  Heap-traffic counters go to
+        the profiler exactly as in the scheduling paths.
         """
-        from time import perf_counter
-
-        loop_started = perf_counter()
+        prof = self.profiler
+        hook.begin(self)
         try:
             while True:
                 entry = self._pop_entry()
                 if entry is None:
                     break
-                prof.heap_pops += 1
+                if prof is not None:
+                    prof.heap_pops += 1
                 if until_ns is not None and entry[0] > until_ns:
                     self._place(entry[0], entry[1], entry[2])
                     self._npending += 1
-                    prof.note_push(self._npending, 0)
+                    if prof is not None:
+                        prof.note_push(self._npending, 0)
                     break
-                ev = entry[2]
-                if ev.state:
+                if entry[2].state:
                     self._cancelled -= 1
-                    prof.cancelled_skips += 1
+                    if prof is not None:
+                        prof.cancelled_skips += 1
                     continue
-                fn = ev.fn
-                started = perf_counter()
-                self._fire(entry)
-                prof.note_callback(fn, perf_counter() - started)
+                hook.fire(self, entry)
             if until_ns is not None and self._now < until_ns:
                 self._now = until_ns
         finally:
-            prof.run_wall_s += perf_counter() - loop_started
-
-    def _run_checkpointed(self, until_ns: Optional[float], ckpt: Any) -> None:
-        """The run loop's checkpointing twin: identical event semantics,
-        plus a periodic snapshot of the owning object graph *between*
-        events (never mid-callback, so every snapshot is consistent).
-
-        Snapshots only read state — pickling mutates nothing — so
-        measurements are bit-identical with or without checkpointing.
-        """
-        ckpt.begin(self)
-        while True:
-            entry = self._pop_entry()
-            if entry is None:
-                break
-            if until_ns is not None and entry[0] > until_ns:
-                self._place(entry[0], entry[1], entry[2])
-                self._npending += 1
-                break
-            ev = entry[2]
-            if ev.state:
-                self._cancelled -= 1
-                continue
-            self._fire(entry)
-            if ckpt.due(self._now):
-                ckpt.save(self)
-        if until_ns is not None and self._now < until_ns:
-            self._now = until_ns
+            hook.end(self)
 
     def step(self) -> bool:
         """Execute a single event.  Returns False when no events remain."""

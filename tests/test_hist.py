@@ -566,14 +566,17 @@ class TestSweepViews:
 class TestPerfCounterLint:
     """Grep-level gate: wall-clock reads must not leak into the simulator.
 
-    ``time.perf_counter(`` outside ``repro/perf`` either perturbs
-    determinism hygiene or silently measures the wrong clock; the only
-    sanctioned call sites are the perf observatory itself and lines
-    explicitly marked ``# wallclock-ok`` (harness metering such as the
-    sweep engine's per-run wall timers).
+    ``time.perf_counter(`` or ``from time import perf_counter`` outside
+    ``repro/perf`` either perturbs determinism hygiene or silently
+    measures the wrong clock; the only sanctioned call sites are the perf
+    observatory itself and lines explicitly marked ``# wallclock-ok``
+    (harness metering such as the sweep engine's per-run wall timers).
     """
 
-    FORBIDDEN = re.compile(r"(?<!\w)time\.perf_counter\(")
+    FORBIDDEN = re.compile(
+        r"(?<!\w)time\.perf_counter\("
+        r"|^\s*from\s+time\s+import\s+[^#]*(?<!\w)perf_counter(?!\w)"
+    )
     EXEMPT_DIRS = {"perf"}
 
     def _src_root(self):
@@ -600,3 +603,7 @@ class TestPerfCounterLint:
     def test_lint_actually_detects(self):
         assert self.FORBIDDEN.search("started = time.perf_counter()")
         assert not self.FORBIDDEN.search("mytime.perf_counter()")
+        assert self.FORBIDDEN.search("        from time import perf_counter")
+        assert self.FORBIDDEN.search("from time import monotonic, perf_counter")
+        assert not self.FORBIDDEN.search("from time import perf_counter_ns")
+        assert not self.FORBIDDEN.search("from mytime import perf_counter")

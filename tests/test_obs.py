@@ -256,22 +256,6 @@ class TestDecomposition:
         tr.on_drop(skb, "sink")
         assert list(tr.complete_journeys()) == []
 
-    def test_adopts_foreign_trace_ids(self):
-        class FakeSkb:
-            def __init__(self, tid):
-                self.trace_id = tid
-
-            class _P:
-                arrival_ts = 0.0
-
-            packets = [_P()]
-
-        tr = JourneyTracker()
-        tr.on_enqueue(FakeSkb(17), "sink", 0, 1.0)  # id from another tracker
-        fresh = FakeSkb(None)
-        tr.on_enqueue(fresh, "sink", 0, 2.0)
-        assert fresh.trace_id == 18  # adopted id is never reused
-
 
 # -------------------------------------------------------- end-to-end checks
 class TestScenarioIntegration:

@@ -40,6 +40,7 @@ from repro.perf.stats import (
     percentile,
     stddev,
 )
+from repro.sim.engine import Simulator
 from repro.workloads.sockperf import run_single_flow
 
 WINDOWS = dict(warmup_ns=0.5e6, measure_ns=2e6)
@@ -99,6 +100,28 @@ class TestSelfprofInertness:
         ) or prof["n_cost_centers"] > len(centers)
         assert prof["queues"], "scenario should snapshot NIC queue stats"
         json.dumps(prof)  # payload must be JSON-safe end to end
+
+    def test_heap_counters_pinned(self):
+        """The profiler's deterministic counters for one fixed engine run
+        (cancellations, an overflow-heap window jump, an until_ns stop)."""
+        sim = Simulator()
+        sim.profiler = prof = SelfProfiler()
+
+        def tick(i):
+            if i < 300:
+                sim.sched_in(700.0 + (i % 7) * 300.0, tick, i + 1)
+
+        sim.call_in(0.0, tick, 0)
+        handles = [sim.call_in(5_000.0 * k, tick, 300) for k in range(1, 150)]
+        for ev in handles[::2]:
+            ev.cancel()
+        sim.call_at(90_000_000.0, tick, 300)
+        sim.run(until_ns=150_000.0)
+        sim.run()
+        heap = prof.summary()["heap"]
+        assert (heap["pushes"], heap["pops"], heap["cancelled_skips"]) == (452, 452, 75)
+        assert heap["level_pushes"] == {"active": 15, "l0": 338, "l1": 98, "overflow": 1}
+        assert (heap["cascades"], heap["window_jumps"]) == (2, 1)
 
     def test_shared_profiler_aggregates_runs(self):
         prof = SelfProfiler()

@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.perf.selfprof import SelfProfiler
+from repro.resilience.checkpoint import Checkpointer
 from repro.sim.engine import SimulationError, Simulator
+
+
+@pytest.fixture
+def sim():
+    return Simulator()
 
 
 def test_clock_starts_at_zero():
@@ -28,8 +35,7 @@ def test_events_execute_in_time_order():
     assert order == ["a", "b", "c"]
 
 
-def test_same_time_events_fifo():
-    sim = Simulator()
+def test_same_time_events_fifo(sim):
     order = []
     for i in range(10):
         sim.call_in(50.0, order.append, i)
@@ -60,8 +66,7 @@ def test_call_at_in_past_rejected():
         sim.call_at(50.0, lambda: None)
 
 
-def test_run_until_stops_clock_exactly():
-    sim = Simulator()
+def test_run_until_stops_clock_exactly(sim):
     seen = []
     sim.call_in(100.0, seen.append, 1)
     sim.call_in(500.0, seen.append, 2)
@@ -79,8 +84,7 @@ def test_run_until_with_no_events_advances_clock():
     assert sim.now == 1000.0
 
 
-def test_cancel_prevents_execution():
-    sim = Simulator()
+def test_cancel_prevents_execution(sim):
     seen = []
     ev = sim.call_in(10.0, seen.append, "x")
     ev.cancel()
@@ -96,8 +100,7 @@ def test_cancel_is_idempotent():
     sim.run()
 
 
-def test_events_scheduled_during_run_execute():
-    sim = Simulator()
+def test_events_scheduled_during_run_execute(sim):
     seen = []
 
     def outer():
@@ -166,8 +169,7 @@ def test_small_heaps_are_not_compacted():
     assert sim.live_pending == 0
 
 
-def test_events_survive_compaction():
-    sim = Simulator()
+def test_events_survive_compaction(sim):
     seen = []
     n = Simulator.COMPACT_MIN_EVENTS + 36
     events = [sim.call_in(float(i + 1), seen.append, i) for i in range(n)]
@@ -190,3 +192,29 @@ def test_not_reentrant():
     sim.call_in(1.0, reenter)
     with pytest.raises(SimulationError):
         sim.run()
+
+
+#: run-loop tests that must hold whichever loop ``Simulator.run`` takes
+LOOP_SEMANTICS = [
+    test_run_until_stops_clock_exactly,
+    test_cancel_prevents_execution,
+    test_events_scheduled_during_run_execute,
+    test_same_time_events_fifo,
+    test_events_survive_compaction,
+]
+
+
+@pytest.mark.parametrize("test", LOOP_SEMANTICS, ids=lambda t: t.__name__[len("test_"):])
+@pytest.mark.parametrize("hook", ["selfprof", "checkpointer"])
+def test_hooked_loop_keeps_run_semantics(hook, test, tmp_path):
+    """The loop tests above run unhooked through the fixture; here they
+    run again with each run-loop hook attached (a checkpointer whose
+    interval never comes due, so it only drives the loop)."""
+    sim = Simulator()
+    if hook == "selfprof":
+        sim.profiler = SelfProfiler()
+    else:
+        sim.checkpoint_every(Checkpointer(tmp_path / "never.ckpt", every_sim_ns=1e18))
+    test(sim)
+    if hook == "checkpointer":
+        assert sim.checkpointer.saves == 0
