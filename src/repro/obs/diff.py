@@ -261,7 +261,11 @@ def _significance(
     if count_a == 0 or count_b == 0:
         # a stage that appeared or vanished outright is always significant
         return (count_a != count_b, (mean_a, mean_a), (mean_b, mean_b))
-    rel = abs(mean_b - mean_a) / mean_a if mean_a > 0 else float("inf")
+    if mean_a > 0:
+        rel = abs(mean_b - mean_a) / mean_a
+    else:
+        # zero vs zero (e.g. a run-to-completion stage's queue) cannot move
+        rel = float("inf") if mean_b > 0 else 0.0
     if rel <= tolerance:
         return (False, (mean_a, mean_a), (mean_b, mean_b))
     stats_a = SampleStats.from_samples(series_samples(ser_a, cap), seed=seed)

@@ -1,6 +1,7 @@
 """Tests for the always-on stage histograms and ``repro diff``
 (:mod:`repro.obs.hist`, :mod:`repro.obs.diff`)."""
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -30,12 +31,19 @@ from repro.obs.hist import (
     series_samples,
     stage_rollup,
 )
+from repro.perf.stats import SampleStats
 from repro.runner import RunEngine, RunSpec
 from repro.runner.records import scenario_result_from_dict, scenario_result_to_dict
 from repro.workloads.sockperf import build_scenario, run_single_flow
 
 TINY = {"warmup_ns": 100_000.0, "measure_ns": 600_000.0}
 SHORT = {"warmup_ns": 300_000.0, "measure_ns": 1_500_000.0}
+
+#: sha256 of the TINY mflow tcp 64 KB seed-0 vs seed-1 diff at tolerance 0
+#: (labels dropped): every row's means, p99s and bootstrap CIs
+PINNED_DIFF_SHA256 = (
+    "f08ddac78c79399ef43a2a83c9ee303d92fe19abfc2aba315c8c230eca82ab5b"
+)
 
 
 # ------------------------------------------------------------ bucket geometry
@@ -342,6 +350,30 @@ class TestDiff:
         assert diff.exit_code() == 0
         assert diff.total_shift_ns == 0
         assert all(r.status == "ok" for r in diff.rows)
+
+    def test_self_diff_skips_the_bootstrap(self, monkeypatch):
+        res = run_single_flow("mflow", "tcp", 65536, seed=0, **TINY)
+        calls = []
+        from_samples = SampleStats.from_samples
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return from_samples(*args, **kwargs)
+
+        monkeypatch.setattr(SampleStats, "from_samples", spy)
+        diff = diff_payloads(res.hist, res.hist)
+        # run-to-completion stages never queue: zero-vs-zero series
+        assert any(r.mean_a_ns == 0 for r in diff.rows)
+        assert all(r.ci_a == r.ci_b == (r.mean_a_ns,) * 2 for r in diff.rows)
+        assert calls == []
+
+    def test_diff_output_is_pinned(self):
+        a = run_single_flow("mflow", "tcp", 65536, seed=0, **TINY)
+        b = run_single_flow("mflow", "tcp", 65536, seed=1, **TINY)
+        doc = diff_payloads(a.hist, b.hist, tolerance=0.0).to_json_dict()
+        del doc["label_a"], doc["label_b"]
+        blob = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == PINNED_DIFF_SHA256
 
     def test_cpu_stall_flags_core_stage_queueing(self, tmp_path):
         baseline = run_single_flow("mflow", "tcp", 65536, seed=0, **SHORT)

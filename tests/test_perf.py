@@ -16,8 +16,11 @@ Covers the three layers and their contracts:
 
 import json
 import math
+import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.perf.bench import (
@@ -33,6 +36,7 @@ from repro.perf.bench import (
 from repro.perf.fidelity import FidelityCheck, FidelityInputs, classify, score
 from repro.perf.selfprof import SelfProfiler, callback_owner, resolve_selfprof
 from repro.perf.stats import (
+    DEFAULT_RESAMPLES,
     SampleStats,
     bootstrap_ci,
     intervals_overlap,
@@ -175,6 +179,26 @@ class TestSelfprofInertness:
 
 
 # ------------------------------------------------------------------ statistics
+#: every 2**k and 2**k +- 1 up to 2048: where ``randrange``'s bit width steps
+_EDGE_SIZES = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} - {0})
+
+
+def _reference_bootstrap_ci(
+    samples, confidence=0.95, n_resamples=DEFAULT_RESAMPLES, seed=0
+):
+    """The straightforward resampling loop, one ``randrange`` per draw."""
+    n = len(samples)
+    if n == 1:
+        return (samples[0], samples[0])
+    rng = random.Random(seed)
+    means = sorted(
+        sum(samples[rng.randrange(n)] for _ in range(n)) / n
+        for _ in range(n_resamples)
+    )
+    alpha = (1.0 - confidence) / 2.0
+    return (percentile(means, alpha), percentile(means, 1.0 - alpha))
+
+
 class TestStats:
     def test_mean_stddev_percentile(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
@@ -213,6 +237,41 @@ class TestStats:
             bootstrap_ci([])
         with pytest.raises(ValueError):
             bootstrap_ci([1.0, 2.0], confidence=1.5)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="n_resamples"):
+                bootstrap_ci([1.0, 2.0], n_resamples=bad)
+
+    @given(
+        n=st.one_of(st.sampled_from(_EDGE_SIZES), st.integers(1, 2100)),
+        n_resamples=st.sampled_from([1, 2, 3, 1999, 2000]),
+        integral=st.booleans(),
+        data_seed=st.integers(0, 2**32),
+        confidence=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(-(2**200), 2**200),
+    )
+    @example(n=2000, n_resamples=2000, integral=True, data_seed=0,
+             confidence=0.95, seed=0)
+    @settings(max_examples=60, deadline=None)
+    def test_bootstrap_ci_replays_randrange_exactly(
+        self, n, n_resamples, integral, data_seed, confidence, seed
+    ):
+        """The bulk resampler draws ``randrange``'s own stream: every
+        interval equals the one-call-per-draw loop's, bit for bit."""
+        # keep the reference loop cheap (at most 400k draws) apart from the
+        # diff's own shape, n = n_resamples = 2000, given as an example
+        if n * n_resamples > 400_000 and (n, n_resamples) != (2000, 2000):
+            n = 1 + n % (400_000 // n_resamples)
+        gen = random.Random(data_seed)
+        if integral:
+            samples = [float(gen.randrange(-10**6, 10**6)) for _ in range(n)]
+        else:
+            samples = [
+                gen.uniform(-1.0, 1.0) * 10.0 ** gen.randint(-300, 300)
+                for _ in range(n)
+            ]
+        got = bootstrap_ci(samples, confidence, n_resamples, seed)
+        want = _reference_bootstrap_ci(samples, confidence, n_resamples, seed)
+        assert got == want and repr(got) == repr(want)
 
     def test_intervals_overlap(self):
         assert intervals_overlap((0, 2), (1, 3))
