@@ -57,7 +57,7 @@ from repro.netstack.costs import DEFAULT_COSTS
 from repro.sim.units import MSEC
 from repro.workloads.memcached import run_memcached
 from repro.workloads.multiflow import run_multiflow, utilization_stddev
-from repro.workloads.sockperf import ALL_SYSTEMS, SYSTEMS, run_single_flow
+from repro.workloads.sockperf import ALL_SYSTEMS, SYSTEMS, build_scenario, run_single_flow
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -86,6 +86,24 @@ def _windows(args) -> dict:
         "warmup_ns": args.warmup_ms * MSEC,
         "measure_ns": args.measure_ms * MSEC,
     }
+
+
+def _run_cell(args, **build):
+    """Run the single-flow cell the common args name; ``build`` takes
+    :func:`build_scenario`'s keywords (instrument toggles included)."""
+    return run_single_flow(
+        args.system, args.proto, args.size, seed=args.seed, **_windows(args), **build
+    )
+
+
+def _print_run_json(res, args) -> int:
+    """Print one run's record as JSON, labelled with its cell."""
+    from repro.runner import scenario_result_to_dict
+
+    out = scenario_result_to_dict(res)
+    out.update(system=args.system, proto=args.proto, size=args.size)
+    print(json.dumps(out, indent=1))
+    return 0
 
 
 def _format_degradation(events) -> List[str]:
@@ -124,19 +142,12 @@ def _print_fault_report(res, indent: str = "  ") -> None:
 
 
 def cmd_throughput(args) -> int:
-    res = run_single_flow(
-        args.system, args.proto, args.size, seed=args.seed,
-        batch_size=args.batch, n_split_cores=args.split_cores,
+    res = _run_cell(
+        args, batch_size=args.batch, n_split_cores=args.split_cores,
         faults=args.fault_plan, migration=args.migration_plan,
-        **_windows(args),
     )
     if args.json:
-        from repro.runner import scenario_result_to_dict
-
-        out = scenario_result_to_dict(res)
-        out.update(system=args.system, proto=args.proto, size=args.size)
-        print(json.dumps(out, indent=1))
-        return 0
+        return _print_run_json(res, args)
     print(f"{args.system} {args.proto} {args.size}B: {res.throughput_gbps:.2f} Gbps")
     print(f"  messages: {res.messages_delivered}   latency: {res.latency}")
     print("  core utilization: " + " ".join(f"{u * 100:.0f}%" for u in res.cpu_utilization))
@@ -208,22 +219,14 @@ def cmd_migrate(args) -> int:
         status_line.update(
             f"{args.system} {args.proto} {args.size}B plan={args.plan}: simulating cutover…"
         )
-    res = run_single_flow(
-        args.system, args.proto, args.size, seed=args.seed,
-        faults=args.fault_plan, migration=args.plan, **_windows(args),
-    )
+    res = _run_cell(args, faults=args.fault_plan, migration=args.plan)
     if status_line is not None:
         status_line.done(
             f"{args.system} {args.proto} {args.size}B plan={args.plan}: "
             f"{res.messages_delivered} msgs simulated"
         )
     if args.json:
-        from repro.runner import scenario_result_to_dict
-
-        out = scenario_result_to_dict(res)
-        out.update(system=args.system, proto=args.proto, size=args.size)
-        print(json.dumps(out, indent=1))
-        return 0
+        return _print_run_json(res, args)
     print(
         f"{args.system} {args.proto} {args.size}B under plan {args.plan!r}: "
         f"{res.throughput_gbps:.2f} Gbps, {res.messages_delivered} msgs"
@@ -241,7 +244,7 @@ def cmd_migrate(args) -> int:
 def cmd_latency(args) -> int:
     from repro.experiments import fig9_latency
 
-    res = fig9_latency.run_cell(args.system, args.proto, args.size, quick=False)
+    res = fig9_latency.run_cell(args.system, args.proto, args.size, _windows(args), seed=args.seed)
     print(
         f"{args.system} {args.proto} {args.size}B under ~max pre-drop load: "
         f"p50={res.latency.p50_us:.1f}us p99={res.latency.p99_us:.1f}us "
@@ -264,7 +267,7 @@ def cmd_multiflow(args) -> int:
 
 
 def cmd_memcached(args) -> int:
-    res = run_memcached(args.system, args.clients, seed=args.seed)
+    res = run_memcached(args.system, args.clients, seed=args.seed, **_windows(args))
     print(
         f"{args.system} memcached x{args.clients} clients: "
         f"{res.requests_per_sec / 1e3:.1f} krps, "
@@ -312,7 +315,6 @@ def cmd_compare(args) -> int:
 def cmd_trace(args) -> int:
     """One instrumented run + flight-recorder artifact export."""
     from repro.obs import decompose, write_trace
-    from repro.workloads.sockperf import build_scenario
 
     sc = build_scenario(
         args.system, args.proto, args.size, seed=args.seed,
@@ -326,12 +328,7 @@ def cmd_trace(args) -> int:
     )
     res = sc.run(**_windows(args))
     if args.json:
-        from repro.runner import scenario_result_to_dict
-
-        out = scenario_result_to_dict(res)
-        out.update(system=args.system, proto=args.proto, size=args.size)
-        print(json.dumps(out, indent=1))
-        return 0
+        return _print_run_json(res, args)
     rec = sc.recorder
     print(
         f"{args.system} {args.proto} {args.size}B: {res.throughput_gbps:.2f} Gbps, "
@@ -398,10 +395,7 @@ def cmd_faults(args) -> int:
             raise SystemExit(
                 f"unknown fault plan {args.plan!r}; see `repro faults list`"
             )
-        res = run_single_flow(
-            args.system, args.proto, args.size, seed=args.seed,
-            faults=args.plan, **_windows(args),
-        )
+        res = _run_cell(args, faults=args.plan)
         print(f"{args.plan}: {PLANS[args.plan].describe()}")
         print(
             f"{args.system} {args.proto} {args.size}B under {args.plan}: "
@@ -419,11 +413,7 @@ def cmd_prof(args) -> int:
     # pass a live profiler (resolve_selfprof passes instances through) so
     # the report is not limited to the payload's serialized top-10
     prof = SelfProfiler()
-    res = run_single_flow(
-        args.system, args.proto, args.size, seed=args.seed,
-        batch_size=args.batch, faults=args.fault_plan,
-        selfprof=prof, **_windows(args),
-    )
+    res = _run_cell(args, batch_size=args.batch, faults=args.fault_plan, selfprof=prof)
     if args.json:
         out = prof.summary(top_k=args.top)
         out.update(system=args.system, proto=args.proto, size=args.size,
@@ -792,7 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--system", choices=["vanilla", "falcon", "mflow"], default="mflow")
     p.add_argument("--clients", type=int, default=10)
     _add_common(p)
-    p.set_defaults(fn=cmd_memcached)
+    # Fig. 13's measurement window (run_memcached's default)
+    p.set_defaults(fn=cmd_memcached, measure_ms=20.0)
 
     p = sub.add_parser("compare", help="all five systems side by side")
     p.add_argument("--proto", choices=["tcp", "udp"], default="tcp")

@@ -53,6 +53,7 @@ def _cell_spec(
     size: int,
     win: Dict[str, float],
     overrides: Optional[dict],
+    seed: int = 0,
 ) -> RunSpec:
     if proto == "tcp":
         factory = "sockperf"
@@ -71,6 +72,7 @@ def _cell_spec(
     return RunSpec.make(
         factory,
         params,
+        seed=seed,
         warmup_ns=win["warmup_ns"],
         measure_ns=win["measure_ns"],
         tags=(EXPERIMENT, proto, system, str(size)),
@@ -139,11 +141,12 @@ def run_cell(
     system: str,
     proto: str,
     size: int,
+    win: Dict[str, float],
     costs: Optional[CostModel] = None,
-    quick: bool = False,
+    seed: int = 0,
 ) -> ScenarioResult:
     """One figure cell, serial and in-process (the CLI's ``latency`` path)."""
-    spec = _cell_spec(system, proto, size, windows(quick), costs_to_overrides(costs))
+    spec = _cell_spec(system, proto, size, win, costs_to_overrides(costs), seed)
     [record] = run_specs(EXPERIMENT, [spec])
     return record.scenario_result()
 

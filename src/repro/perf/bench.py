@@ -58,37 +58,9 @@ class BenchScenario:
 
     def run_once(self, seed: int, warmup_ns: float, measure_ns: float):
         """Execute the scenario once; returns the ScenarioResult."""
-        params = self.params_dict()
-        if self.kind == "sockperf":
-            from repro.workloads.sockperf import run_single_flow
+        from repro.runner.factories import run_scenario_params
 
-            return run_single_flow(
-                params["system"],
-                params.get("proto", "tcp"),
-                int(params.get("size", 65536)),
-                seed=seed,
-                warmup_ns=warmup_ns,
-                measure_ns=measure_ns,
-                batch_size=int(params.get("batch_size", 256)),
-                faults=params.get("faults"),
-                obs=params.get("obs"),
-                hist=params.get("hist", True),
-            )
-        if self.kind == "multiflow":
-            from repro.workloads.multiflow import run_multiflow
-
-            return run_multiflow(
-                params["system"],
-                int(params["n_flows"]),
-                int(params.get("size", 4096)),
-                seed=seed,
-                warmup_ns=warmup_ns,
-                measure_ns=measure_ns,
-                faults=params.get("faults"),
-                obs=params.get("obs"),
-                hist=params.get("hist", True),
-            )
-        raise ValueError(f"unknown bench scenario kind {self.kind!r}")
+        return run_scenario_params(self.kind, self.params_dict(), seed, warmup_ns, measure_ns)
 
 
 def default_matrix() -> List[BenchScenario]:

@@ -15,6 +15,8 @@ from dataclasses import asdict
 from typing import Any, Dict, Optional
 
 from repro.netstack.costs import DEFAULT_COSTS, CostModel
+from repro.runner.records import latency_to_dict, scenario_result_to_dict
+from repro.workloads.scenario import INSTRUMENT_KEYS, ScenarioResult
 
 
 def costs_to_overrides(costs: Optional[CostModel]) -> Optional[Dict[str, Any]]:
@@ -41,37 +43,43 @@ def costs_from_params(params: Dict[str, Any]) -> Optional[CostModel]:
     return DEFAULT_COSTS.with_overrides(**clean)
 
 
-def _scenario_measurements(res) -> Dict[str, Any]:
-    from repro.runner.records import scenario_result_to_dict
+# ------------------------------------------------------- sockperf/multiflow
+def run_scenario_params(
+    kind: str, params: Dict[str, Any], seed: int, warmup_ns: float, measure_ns: float
+) -> ScenarioResult:
+    """Run the ``kind`` ("sockperf" | "multiflow") scenario that spec
+    ``params`` describe: the one spec-to-run mapping, shared by the runner
+    factories and ``repro bench``.  Toggles named in :data:`INSTRUMENT_KEYS`
+    pass through under the same keys; absent ones take Scenario's defaults."""
+    from repro.workloads.multiflow import run_multiflow
+    from repro.workloads.sockperf import run_single_flow
 
-    return scenario_result_to_dict(res)
+    build = {k: params[k] for k in INSTRUMENT_KEYS if k in params}
+    build.update(
+        costs=costs_from_params(params), seed=seed,
+        batch_size=int(params.get("batch_size", 256)),
+    )
+    if kind == "sockperf":
+        return run_single_flow(
+            params["system"], params["proto"], int(params["size"]), warmup_ns, measure_ns,
+            n_split_cores=int(params.get("n_split_cores", 2)),
+            interval_ns=params.get("interval_ns"), **build,
+        )
+    if kind == "multiflow":
+        return run_multiflow(
+            params["system"], int(params["n_flows"]), int(params["size"]),
+            warmup_ns, measure_ns, placement=params.get("placement", "least-loaded"),
+            **build,
+        )
+    raise ValueError(f"unknown scenario kind {kind!r}")
 
 
-# ------------------------------------------------------------------ sockperf
 def sockperf_factory(
     params: Dict[str, Any], seed: int, warmup_ns: float, measure_ns: float
 ) -> Dict[str, Any]:
     """One Fig. 4a / 8a cell: single-flow sockperf for one system."""
-    from repro.workloads.sockperf import run_single_flow
-
-    res = run_single_flow(
-        params["system"],
-        params["proto"],
-        int(params["size"]),
-        costs=costs_from_params(params),
-        seed=seed,
-        warmup_ns=warmup_ns,
-        measure_ns=measure_ns,
-        batch_size=int(params.get("batch_size", 256)),
-        n_split_cores=int(params.get("n_split_cores", 2)),
-        interval_ns=params.get("interval_ns"),
-        faults=params.get("faults"),
-        obs=params.get("obs"),
-        selfprof=params.get("selfprof"),
-        migration=params.get("migration"),
-        hist=params.get("hist", True),
-    )
-    return _scenario_measurements(res)
+    res = run_scenario_params("sockperf", params, seed, warmup_ns, measure_ns)
+    return scenario_result_to_dict(res)
 
 
 def sockperf_loaded_factory(
@@ -79,55 +87,29 @@ def sockperf_loaded_factory(
 ) -> Dict[str, Any]:
     """One Fig. 9 open-loop cell: probe goodput capacity, then replay at
     ``load_factor`` of it and sample latency there (both phases inside one
-    spec so the cell stays a pure function of its parameters)."""
-    from repro.workloads.sockperf import CLIENTS, run_single_flow
+    spec so the cell stays a pure function of its parameters).  Only the
+    measured run takes the spec's instrument toggles; the probe runs plain."""
+    from repro.workloads.sockperf import CLIENTS
 
-    system = params["system"]
-    proto = params["proto"]
-    size = int(params["size"])
-    batch = int(params.get("batch_size", 256))
-    load_factor = float(params.get("load_factor", 0.9))
-    costs = costs_from_params(params)
-    probe = run_single_flow(
-        system, proto, size, costs=costs, seed=seed,
-        warmup_ns=warmup_ns, measure_ns=measure_ns, batch_size=batch,
-    )
+    plain = {k: v for k, v in params.items() if k not in INSTRUMENT_KEYS}
+    probe = run_scenario_params("sockperf", plain, seed, warmup_ns, measure_ns)
     cap = max(probe.throughput_gbps, 1e-3)
-    per_client_gbps = cap * load_factor / CLIENTS[proto]
-    interval_ns = size * 8.0 / per_client_gbps
-    res = run_single_flow(
-        system, proto, size, costs=costs, seed=seed,
-        warmup_ns=warmup_ns, measure_ns=measure_ns, batch_size=batch,
-        interval_ns=interval_ns,
-    )
-    out = _scenario_measurements(res)
+    size = int(params["size"])
+    per_client_gbps = cap * float(params.get("load_factor", 0.9)) / CLIENTS[params["proto"]]
+    loaded = dict(params, interval_ns=size * 8.0 / per_client_gbps)
+    res = run_scenario_params("sockperf", loaded, seed, warmup_ns, measure_ns)
+    out = scenario_result_to_dict(res)
     out["probe_gbps"] = cap
     out["events_executed"] += probe.events_executed
     return out
 
 
-# ----------------------------------------------------------------- multiflow
 def multiflow_factory(
     params: Dict[str, Any], seed: int, warmup_ns: float, measure_ns: float
 ) -> Dict[str, Any]:
     """One Fig. 10 / Fig. 12 cell: N concurrent overlay TCP flows."""
-    from repro.workloads.multiflow import run_multiflow
-
-    res = run_multiflow(
-        params["system"],
-        int(params["n_flows"]),
-        int(params["size"]),
-        costs=costs_from_params(params),
-        seed=seed,
-        warmup_ns=warmup_ns,
-        measure_ns=measure_ns,
-        placement=params.get("placement", "least-loaded"),
-        faults=params.get("faults"),
-        obs=params.get("obs"),
-        selfprof=params.get("selfprof"),
-        hist=params.get("hist", True),
-    )
-    return _scenario_measurements(res)
+    res = run_scenario_params("multiflow", params, seed, warmup_ns, measure_ns)
+    return scenario_result_to_dict(res)
 
 
 # ----------------------------------------------------------------- memcached
@@ -136,8 +118,6 @@ def memcached_factory(
 ) -> Dict[str, Any]:
     """One Fig. 13 bar group: data-caching latency for one client count."""
     from repro.workloads.memcached import run_memcached
-
-    from repro.runner.records import latency_to_dict
 
     res = run_memcached(
         params["system"],

@@ -74,12 +74,10 @@ def build_multiflow_scenario(
     seed: int = 0,
     batch_size: int = 256,
     placement: str = "least-loaded",
-    faults=None,
-    obs=None,
-    selfprof=None,
-    hist=True,
+    **instruments,
 ) -> Scenario:
-    """Assemble an ``n_flows``-flow overlay TCP scenario."""
+    """Assemble an ``n_flows``-flow overlay TCP scenario; ``instruments``
+    (``faults=``, ``obs=``, ...) go to :class:`Scenario`."""
     if n_flows < 1:
         raise ValueError(f"need at least one flow, got {n_flows}")
     sc = Scenario(
@@ -90,10 +88,7 @@ def build_multiflow_scenario(
         seed=seed,
         n_receiver_cores=N_CORES,
         rss_core_indices=KERNEL_POOL,
-        faults=faults,
-        obs=obs,
-        selfprof=selfprof,
-        hist=hist,
+        **instruments,
     )
     for i in range(n_flows):
         sc.add_tcp_sender(message_size, flow=make_flow("tcp", i))
@@ -104,22 +99,15 @@ def run_multiflow(
     system: str,
     n_flows: int,
     message_size: int,
-    costs: Optional[CostModel] = None,
-    seed: int = 0,
     warmup_ns: float = 2 * MSEC,
     measure_ns: float = 8 * MSEC,
-    placement: str = "least-loaded",
-    faults=None,
-    obs=None,
-    selfprof=None,
-    hist=True,
+    **build,
 ) -> ScenarioResult:
-    """One cell of Fig. 10 (aggregate TCP throughput)."""
-    sc = build_multiflow_scenario(
-        system, n_flows, message_size, costs=costs, seed=seed, placement=placement,
-        faults=faults, obs=obs, selfprof=selfprof, hist=hist,
+    """One cell of Fig. 10 (aggregate TCP throughput); ``build`` takes
+    :func:`build_multiflow_scenario`'s keywords."""
+    return build_multiflow_scenario(system, n_flows, message_size, **build).run(
+        warmup_ns, measure_ns
     )
-    return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
 
 
 def kernel_pool_utilization(result: ScenarioResult) -> List[float]:

@@ -104,6 +104,17 @@ class ScenarioResult:
         )
 
 
+#: the instrument toggles: only ``Scenario.__init__`` declares them, every
+#: entry point passes them through by keyword, and RunSpec params carry
+#: them under the same keys.  Each resolves once, in ``__init__``; an inert
+#: value resolves to None and builds the exact object graph, event schedule
+#: and randomness of a run without the toggle (golden-seed runs stay
+#: byte-identical).  Histograms are on by default (``hist=False`` opts out);
+#: recording them, like self-profiling, draws no randomness and schedules
+#: no events, so simulated results are identical either way.
+INSTRUMENT_KEYS = ("faults", "obs", "selfprof", "migration", "hist")
+
+
 class Scenario:
     """A complete single-receiver testbed under one steering policy."""
 
@@ -132,8 +143,6 @@ class Scenario:
         self.sim = Simulator()
         self.rngs = RngStreams(seed)
         self.telemetry = Telemetry(self.sim)
-        # An inert plan resolves to None: the zero-fault path builds the
-        # exact same object graph and event schedule as no plan at all.
         self.fault_plan = resolve_fault_plan(faults)
         self.faults: Optional[FaultInjectors] = None
         self.watchdog: Optional[ConservationWatchdog] = None
@@ -149,10 +158,6 @@ class Scenario:
         )
         self.policy = policy_factory(self.cpus)
 
-        # Migration resolves like fault plans: an inert plan is None, and
-        # the no-migration path builds the exact same stage list, object
-        # graph and event schedule as a run that never heard of migration
-        # (golden-seed runs stay byte-identical).
         self.migration_plan: Optional[MigrationPlan] = resolve_migration_plan(migration)
         self.network: Optional[OverlayNetwork] = None
         self.balancer: Optional[ConsistentHashBalancerStage] = None
@@ -204,13 +209,7 @@ class Scenario:
         self.wire = Wire(self.sim, self.costs, self.nic, faults=self.faults)
         if self.migration_plan is not None:
             self.migration = MigrationController(self, self.migration_plan)
-        # Observability: resolve like fault plans — a disabled config is
-        # inert (None) and the run builds the exact same event schedule
-        # and consumes the same randomness as an uninstrumented one.
         self.obs_config: Optional[ObsConfig] = resolve_obs(obs)
-        # Self-profiling mirrors the same discipline: None builds the
-        # identical object graph, and even when attached the profiler
-        # only *reads* wall clocks — simulated results never change.
         self.selfprof: Optional[SelfProfiler] = resolve_selfprof(selfprof)
         if self.selfprof is not None:
             self.sim.profiler = self.selfprof
@@ -219,10 +218,6 @@ class Scenario:
         self.intervals: Optional[IntervalMetrics] = None
         if self.obs_config is not None:
             self._attach_obs(self.obs_config)
-        # Exact stage histograms are *always on* (hist=False opts out).
-        # Recording draws no randomness and schedules no events, so the
-        # simulated timeline — and every other measurement — is identical
-        # with histograms on or off.
         self.hist_config: Optional[HistConfig] = resolve_hist(hist)
         self.hist: Optional[StageHistograms] = None
         if self.hist_config is not None:

@@ -113,13 +113,10 @@ def build_scenario(
     n_split_cores: int = 2,
     n_receiver_cores: int = 8,
     interval_ns: Optional[float] = None,
-    faults=None,
-    obs=None,
-    selfprof=None,
-    migration=None,
-    hist=True,
+    **instruments,
 ) -> Scenario:
-    """Assemble the single-flow scenario for one (system, proto, size)."""
+    """Assemble the single-flow scenario for one (system, proto, size);
+    ``instruments`` (``faults=``, ``obs=``, ...) go to :class:`Scenario`."""
     sc = Scenario(
         datapath_for(system),
         proto,
@@ -129,11 +126,7 @@ def build_scenario(
         n_receiver_cores=n_receiver_cores,
         # real RSS spreads RX queues across its core pool
         rss_core_indices=[1, 2, 3] if system == "rss" else None,
-        faults=faults,
-        obs=obs,
-        selfprof=selfprof,
-        migration=migration,
-        hist=hist,
+        **instruments,
     )
     for _ in range(CLIENTS[proto]):
         if proto == "tcp":
@@ -147,36 +140,13 @@ def run_single_flow(
     system: str,
     proto: str,
     message_size: int,
-    costs: Optional[CostModel] = None,
-    seed: int = 0,
     warmup_ns: float = 2 * MSEC,
     measure_ns: float = 10 * MSEC,
-    batch_size: int = 256,
-    n_split_cores: int = 2,
-    interval_ns: Optional[float] = None,
-    faults=None,
-    obs=None,
-    selfprof=None,
-    migration=None,
-    hist=True,
+    **build,
 ) -> ScenarioResult:
-    """Run one cell of Fig. 4a / Fig. 8a / Fig. 9."""
-    sc = build_scenario(
-        system,
-        proto,
-        message_size,
-        costs=costs,
-        seed=seed,
-        batch_size=batch_size,
-        n_split_cores=n_split_cores,
-        interval_ns=interval_ns,
-        faults=faults,
-        obs=obs,
-        selfprof=selfprof,
-        migration=migration,
-        hist=hist,
-    )
-    return sc.run(warmup_ns=warmup_ns, measure_ns=measure_ns)
+    """Run one cell of Fig. 4a / Fig. 8a / Fig. 9; ``build`` takes
+    :func:`build_scenario`'s keywords."""
+    return build_scenario(system, proto, message_size, **build).run(warmup_ns, measure_ns)
 
 
 def run_matrix(
